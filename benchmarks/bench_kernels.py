@@ -1,8 +1,8 @@
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Time the exact kernels on representative workloads.
 
-Runs the two hot loops on representative workloads: the cohomology
-weight scan (the dominant cost of large vanishing checks) and integer
-boundary-matrix ranks.  Timings are reported in integer microseconds.
+Runs the two hot loops: the cohomology weight scan (the dominant cost
+of large vanishing checks) and integer boundary-matrix ranks.  Each
+timing is the best of --repeat runs, reported in integer microseconds.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -11,13 +11,12 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from tfm import _pykernel
+# time the checkout's kernel, not an installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-try:
-    from tfm import _speedups
-except ImportError:
-    _speedups = None
+from tfm import kernel  # noqa: E402
 
 
 def timed(fn, repeat):
@@ -63,37 +62,15 @@ def main():
     parser.add_argument("--box", type=int, default=40)
     args = parser.parse_args()
 
-    backends = [("python", _pykernel)]
-    if _speedups is not None:
-        backends.append(("compiled", _speedups))
-    else:
-        print("compiled backend unavailable; showing fallback only")
-
     print("weight scan over (2*%d+1)^3 cells, 12 rays" % args.box)
     scan_args = scan_workload(args.box)
-    results = {}
-    for name, mod in backends:
-        us, out = timed(lambda m=mod: m.scan_weight_masks(*scan_args), args.repeat)
-        results[name] = (us, out)
-        print("  %-8s %10d us  (%d masks)" % (name, us // 1000, len(out)))
-    if len(results) == 2:
-        assert results["python"][1] == results["compiled"][1], "backends disagree"
-        ratio_pct = results["python"][0] * 100 // max(results["compiled"][0], 1)
-        print("  speedup: %d%%" % ratio_pct)
+    ns, out = timed(lambda: kernel.scan_weight_masks(*scan_args), args.repeat)
+    print("  %10d us  (%d masks)" % (ns // 1000, len(out)))
 
     print("boundary-matrix ranks, 60 random sign matrices")
     mats = rank_workload()
-    results = {}
-    for name, mod in backends:
-        us, out = timed(
-            lambda m=mod: [m.bareiss_rank(mat) for mat in mats], args.repeat
-        )
-        results[name] = (us, out)
-        print("  %-8s %10d us" % (name, us // 1000))
-    if len(results) == 2:
-        assert results["python"][1] == results["compiled"][1], "backends disagree"
-        ratio_pct = results["python"][0] * 100 // max(results["compiled"][0], 1)
-        print("  speedup: %d%%" % ratio_pct)
+    ns, _ = timed(lambda: [kernel.bareiss_rank(mat) for mat in mats], args.repeat)
+    print("  %10d us" % (ns // 1000))
     return 0
 
 

@@ -51,7 +51,8 @@ class FoliationSubspace:
 
     def ray_mask(self, f: Fan):
         """Indices of fan rays lying inside V."""
-        key = id(f)
+        # keyed by value: a fan built after another is freed may reuse its id()
+        key = f.rays
         if key not in self._mask_cache:
             self._mask_cache[key] = tuple(
                 i for i, r in enumerate(f.rays) if self.contains(r)

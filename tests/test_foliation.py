@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from tfm.divisor import (
     toric_canonical,
     zero_divisor,
 )
+from tfm.fan import Fan
 from tfm.foliation import (
     FoliatedPair,
     FoliationSubspace,
@@ -35,6 +37,22 @@ def test_canonical_divisor_golden(hirzebruch1):
 def test_canonical_divisor_full_space(p2, p112, cube_fan):
     for f in (p2, p112, cube_fan):
         assert canonical_divisor(f, full_space(f.dim)) == toric_canonical(f)
+
+
+def test_ray_mask_not_stale_after_fan_is_freed():
+    # a fan built after another is freed may reuse its id(); the mask
+    # must follow the rays, not the object
+    v = FoliationSubspace([(1, 0)])
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    permuted = [rays[i] for i in (1, 0, 3, 2)]
+    cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    for _ in range(300):
+        a = Fan(2, rays, cones)
+        assert v.ray_mask(a) == (0, 2)
+        del a
+        gc.collect()
+        b = Fan(2, permuted, cones)
+        assert v.ray_mask(b) == (1, 3)
 
 
 def test_kf_identity(p2, hirzebruch1, p112):
