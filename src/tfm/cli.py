@@ -3,7 +3,8 @@
 Subcommands: validate, info, qfact, mori, cone-check, bundle, fujita,
 cohomology, kodaira, discrepancy, mmp, build-bundle.  Human-readable
 text by default, machine JSON with --json.  Exit codes: 0 success,
-1 assertion or counterexample, 2 usage or parse error.
+1 assertion or counterexample, 2 usage or parse error, 3 internal error
+(a runtime certificate of tfm itself failed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from tfm import jsonio
 from tfm import mmp as mmpmod
 from tfm import moricone as mc
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _rat(x) -> str:
@@ -426,6 +427,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAIL
+    except RuntimeError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -329,3 +329,16 @@ def curve_class_space(f: Fan) -> CurveClassSpace:
     space = CurveClassSpace(f, tuple(basis), tuple(classes), len(basis))
     f._cache["curve_class_space"] = space
     return space
+
+
+def nef_cone_hrep(f: Fan) -> polyhedra.ConeHRep:
+    """H-representation of the cone spanned by the wall curve classes.
+
+    Its facet normals generate the nef cone (the dual cone) modulo the
+    span equations, which cut out the numerically trivial directions.
+    One double description per fan, cached on the fan.
+    """
+    if "nef_cone_hrep" not in f._cache:
+        space = curve_class_space(f)
+        f._cache["nef_cone_hrep"] = polyhedra.cone_hrep(space.wall_classes, space.dim)
+    return f._cache["nef_cone_hrep"]

@@ -409,11 +409,13 @@ def _relative_convexity_certificate(out: Fan, pieces):
 
 
 def is_projective(f: Fan) -> bool:
-    """Exact feasibility of a strictly convex rational support function.
+    """Existence of a strictly convex rational support function.
 
     Decided on the Q-Cartier divisor side: the fan is projective iff
     some Q-Cartier divisor pairs strictly positively with every wall
-    curve (the two systems are linear eliminations of one another).
+    curve.  By Gordan's alternative that holds iff no wall class is zero
+    and the cone of wall classes is pointed, which is read off the
+    cached double description of that cone (`divisor.nef_cone_hrep`).
     """
     if "projective" in f._cache:
         return f._cache["projective"]
@@ -425,9 +427,10 @@ def is_projective(f: Fan) -> bool:
     from tfm import divisor as _divisor
 
     space = _divisor.curve_class_space(f)
-    ineqs = [(cls, 1) for cls in space.wall_classes]
-    sol = polyhedra.lp_feasible(space.dim, ineqs=ineqs)
-    f._cache["projective"] = sol is not None
+    classes = space.wall_classes
+    f._cache["projective"] = not any(is_zero(c) for c in classes) and (
+        polyhedra.cone_is_pointed(classes, space.dim, _divisor.nef_cone_hrep(f))
+    )
     return f._cache["projective"]
 
 

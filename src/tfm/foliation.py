@@ -41,7 +41,6 @@ class FoliationSubspace:
         self.basis = tuple(basis)
         self.rank = len(basis)
         self.dim = len(basis[0])
-        self._mask_cache: dict = {}
 
     def __repr__(self):
         return "FoliationSubspace(rank=%d, dim=%d)" % (self.rank, self.dim)
@@ -50,14 +49,17 @@ class FoliationSubspace:
         return subspace_contains(self.basis, v)
 
     def ray_mask(self, f: Fan):
-        """Indices of fan rays lying inside V."""
-        # keyed by value: a fan built after another is freed may reuse its id()
-        key = f.rays
-        if key not in self._mask_cache:
-            self._mask_cache[key] = tuple(
+        """Indices of fan rays lying inside V.
+
+        Cached on the fan, keyed by the basis (by value, never by id()),
+        so the entry dies with the fan and the subspace keeps no state.
+        """
+        key = ("ray_mask", self.basis)
+        if key not in f._cache:
+            f._cache[key] = tuple(
                 i for i, r in enumerate(f.rays) if self.contains(r)
             )
-        return self._mask_cache[key]
+        return f._cache[key]
 
 
 def full_space(n: int) -> FoliationSubspace:

@@ -270,11 +270,28 @@ def sublattice_index(generators) -> int:
     return idx
 
 
+def row_basis(rows):
+    """The rows that raise the rational rank of the rows kept before
+    them: a basis of the row space, in input order."""
+    kept = []
+    for row in rows:
+        if rational_rank(kept + [row]) > len(kept):
+            kept.append(row)
+    return kept
+
+
 def integer_kernel(rows):
-    """Lattice basis of {x in Z^n : A x = 0}; the kernel is saturated."""
+    """Lattice basis of {x in Z^n : A x = 0}; the kernel is saturated.
+
+    The entries must be integers: Smith normal form over rational
+    entries is not defined and can stall, so callers primitivize first.
+    """
     rows = [tuple(r) for r in rows]
     if not rows:
         raise ValueError("empty matrix needs explicit handling")
+    if any(Fraction(x).denominator != 1 for row in rows for x in row):
+        raise ValueError("integer_kernel needs integer entries")
+    rows = [tuple(int(x) for x in row) for row in rows]
     n = len(rows[0])
     snf = smith_normal_form(rows)
     rank = sum(1 for d in snf.diag if d != 0)

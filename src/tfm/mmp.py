@@ -218,7 +218,11 @@ def _proportional(a, b) -> bool:
 
 
 def run_mmp(pair: FoliatedPair, max_steps: int = 20) -> MMPTrace:
-    """Iterate mmp_step, re-asserting log canonicity after every step."""
+    """Iterate mmp_step, re-asserting log canonicity after every step.
+
+    Running out of `max_steps` raises ValueError: the cap is the
+    caller's choice, not a failed certificate (those raise RuntimeError).
+    """
     steps = []
     current = pair
     for _ in range(max_steps):
@@ -237,7 +241,7 @@ def run_mmp(pair: FoliatedPair, max_steps: int = 20) -> MMPTrace:
             )
         if step.kind == "divisorial" and step.rays_after != step.rays_before - 1:
             raise RuntimeError("divisorial step did not drop exactly one ray")
-    raise RuntimeError(
+    raise ValueError(
         "MMP did not terminate within %d steps (partial trace: %d steps)"
         % (max_steps, len(steps))
     )

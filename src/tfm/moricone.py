@@ -22,6 +22,7 @@ from tfm.divisor import (
     is_ample,
     is_cartier,
     is_nef,
+    nef_cone_hrep,
 )
 from tfm.fan import (
     Fan,
@@ -46,9 +47,11 @@ from tfm.lattice import (
     primitivize,
     quotient_map,
     rational_rank,
+    row_basis,
     solve_linear,
     subspaces_equal,
     vec_add,
+    vec_sub,
 )
 
 
@@ -89,7 +92,7 @@ def mori_cone(f: Fan):
     space = curve_class_space(f)
     walls = enumerate_walls(f)
     classes = space.wall_classes
-    extreme = polyhedra.extreme_generator_indices(classes, space.dim)
+    extreme = polyhedra.extreme_generator_indices(classes, space.dim, nef_cone_hrep(f))
     rays = []
     for i in extreme:
         gen = primitivize(classes[i])
@@ -127,22 +130,24 @@ def ray_length(pair: FoliatedPair, ray: ExtremalRayData) -> Fraction:
 
 
 def supporting_divisor(f: Fan, ray: ExtremalRayData) -> TorusDivisor:
-    """Nef Q-Cartier divisor vanishing exactly on the given extremal ray
-    (relative interior of the dual face of the nef cone, found by exact
-    feasibility with unit margins)."""
+    """Nef Q-Cartier divisor vanishing exactly on the given extremal ray.
+
+    The sum of the nef-cone generators (facet normals of the cached
+    Mori cone H-representation) that vanish on the ray: the facets
+    through an extremal ray of a pointed cone meet in that ray, so the
+    sum is positive on every wall class off it.  At Picard rank one no
+    facet passes through the ray and the zero divisor is returned.
+    """
     space = curve_class_space(f)
+    coords = (0,) * space.dim
+    for facet in nef_cone_hrep(f).facets:
+        if dot(facet, ray.generator) == 0:
+            coords = vec_add(coords, facet)
     member = set(ray.member_wall_indices)
-    eqs = []
-    ineqs = []
     for wi, cls in enumerate(space.wall_classes):
-        if wi in member:
-            eqs.append((cls, 0))
-        else:
-            ineqs.append((cls, 1))
-    sol = polyhedra.lp_feasible(space.dim, eqs=eqs, ineqs=ineqs)
-    if sol is None:
-        raise ValueError("no supporting divisor; ray is not extremal")
-    return space.divisor_from_coordinates(sol)
+        if wi not in member and dot(coords, cls) <= 0:
+            raise ValueError("no supporting divisor; ray is not extremal")
+    return space.divisor_from_coordinates(coords)
 
 
 class Contraction(NamedTuple):
@@ -155,7 +160,17 @@ class Contraction(NamedTuple):
 
 def contraction(f: Fan, ray: ExtremalRayData) -> Contraction:
     """Contraction of an extremal ray, realized as the normal fan of the
-    polytope of a supporting divisor inside the quotient lattice."""
+    polytope of a supporting divisor inside the quotient lattice.
+
+    Computed once per ray and fan: cached on the fan, keyed by the ray
+    generator."""
+    key = ("contraction", ray.generator)
+    if key not in f._cache:
+        f._cache[key] = _contract(f, ray)
+    return f._cache[key]
+
+
+def _contract(f: Fan, ray: ExtremalRayData) -> Contraction:
     d = supporting_divisor(f, ray)
     p = divisor_polytope(f, d)
     n = f.dim
@@ -163,12 +178,11 @@ def contraction(f: Fan, ray: ExtremalRayData) -> Contraction:
         raise RuntimeError("supporting divisor has an empty polytope")
     pdim = p.dim()
     v0 = p.vertices[0]
-    directions = [
-        tuple(x - y for x, y in zip(v, v0)) for v in p.vertices[1:]
-    ]
-    directions = [d_ for d_ in directions if not is_zero(d_)]
+    # integer rows spanning the polytope's directions: Smith normal form
+    # needs integer input and stays small on a basis
+    directions = [primitivize(vec_sub(v, v0)) for v in p.vertices[1:]]
     if directions:
-        kernel = integer_kernel(directions)
+        kernel = integer_kernel(row_basis(directions))
     else:
         kernel = [tuple(row) for row in identity(n)]
     proj = quotient_map(kernel, n)

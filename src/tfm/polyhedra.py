@@ -2,9 +2,11 @@
 
 Double description (incremental insertion with adjacency pruning) for
 V/H conversions of cones, plus a two-phase simplex over Fractions for
-the feasibility questions (separation, strict convexity, supporting
-divisors).  Scales are small throughout: dimension <= ~12, at most a
-few dozen constraints.
+the feasibility questions that remain: fan separation, strict-convexity
+certificates and the empty-polytope test.  Projectivity and supporting
+divisors need no LP; they are read off the H-representation of the
+Mori cone (see `fan.is_projective`).  Scales are small throughout:
+dimension <= ~12, at most a few dozen constraints.
 """
 
 from __future__ import annotations
@@ -160,14 +162,17 @@ def cone_is_pointed(generators: Sequence, dim: int, hrep: Optional[ConeHRep] = N
     return rational_rank(rows) == dim
 
 
-def extreme_generator_indices(generators: Sequence, dim: int) -> list:
+def extreme_generator_indices(
+    generators: Sequence, dim: int, hrep: Optional[ConeHRep] = None
+) -> list:
     """Indices of generators spanning extreme rays of a pointed cone.
 
     One index per extreme ray (the first generator on it).  Raises when
     the cone is not pointed.
     """
     gens = [tuple(g) for g in generators]
-    hrep = cone_hrep(gens, dim)
+    if hrep is None:
+        hrep = cone_hrep(gens, dim)
     if not cone_is_pointed(gens, dim, hrep):
         raise ValueError("extreme rays are defined only for pointed cones")
     d = cone_dim(gens)

@@ -4,6 +4,7 @@ projective spaces and their products, random rational foliations, log
 canonical boundaries, ample Cartier divisors, and non-simplicial fans.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -51,6 +52,15 @@ def random_simplicial_fan(rng, dim, max_subdivisions=4):
             continue
         f = star_subdivision(f, w)
     return f
+
+
+def projective_batch(seed, surfaces=6, threefolds=4):
+    """Seeded complete projective simplicial surfaces and 3-folds."""
+    rng = random.Random(seed)
+    return [random_simplicial_fan(rng, 2) for _ in range(surfaces)] + [
+        random_simplicial_fan(rng, 3, max_subdivisions=3)
+        for _ in range(threefolds)
+    ]
 
 
 def random_subspace(rng, f, rank=None):

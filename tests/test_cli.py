@@ -21,6 +21,16 @@ P2_FAN = {
     "rays": [[1, 0], [0, 1], [-1, -1]],
     "cones": [[0, 1], [1, 2], [2, 0]],
 }
+CUBE_RAYS = [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+CUBE_FAN = {
+    "dim": 3,
+    "rays": CUBE_RAYS,
+    "cones": [
+        [i for i, r in enumerate(CUBE_RAYS) if r[axis] == sgn]
+        for axis in range(3)
+        for sgn in (1, -1)
+    ],
+}
 
 
 def write(tmp_path, name, data):
@@ -108,12 +118,7 @@ def test_cohomology_cli(tmp_path, capsys):
 
 
 def test_info_and_qfact(tmp_path, capsys):
-    cube_rays = [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)]
-    cones = []
-    for axis in range(3):
-        for sgn in (1, -1):
-            cones.append([i for i, r in enumerate(cube_rays) if r[axis] == sgn])
-    fan = write(tmp_path, "cube.fan.json", {"dim": 3, "rays": cube_rays, "cones": cones})
+    fan = write(tmp_path, "cube.fan.json", CUBE_FAN)
     code, out = run(capsys, ["info", "--fan", fan, "--json"])
     assert code == 0
     payload = json.loads(out)
@@ -151,6 +156,16 @@ def test_mmp_cli(tmp_path, capsys):
     payload = json.loads(out)
     assert [s["kind"] for s in payload["steps"]] == ["divisorial", "fiber"]
     assert payload["terminal"] == "mori_fiber_space"
+
+
+def test_mmp_step_cap_exits_1(tmp_path, capsys):
+    # a cap the program needs more steps than is the caller's limit,
+    # not an internal error
+    fan = write(tmp_path, "f1.fan.json", F1_FAN)
+    pair = write(tmp_path, "fw.pair.json", FW_PAIR)
+    code = main(["mmp", "--fan", fan, "--pair", pair, "--max-steps", "1"])
+    assert code == 1
+    assert "did not terminate within 1 steps" in capsys.readouterr().err
 
 
 def test_discrepancy_cli(tmp_path, capsys):
@@ -205,12 +220,7 @@ def test_mori_bundle_field(tmp_path, capsys):
 
 
 def test_non_qcartier_pair_exits_1(tmp_path, capsys):
-    cube_rays = [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)]
-    cones = []
-    for axis in range(3):
-        for sgn in (1, -1):
-            cones.append([i for i, r in enumerate(cube_rays) if r[axis] == sgn])
-    fan = write(tmp_path, "cube.fan.json", {"dim": 3, "rays": cube_rays, "cones": cones})
+    fan = write(tmp_path, "cube.fan.json", CUBE_FAN)
     pair = write(tmp_path, "v.pair.json", {"subspace": [["1", "1", "1"]], "delta": {}})
     code, _ = run(capsys, ["mori", "--fan", fan, "--pair", pair])
     assert code == 1
@@ -237,3 +247,23 @@ def test_cli_byte_identical_across_processes(tmp_path):
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     json.loads(runs[0].stdout)
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    """A failing runtime certificate is an internal error: exit code 3
+    and one line on stderr, not a traceback and not the counterexample
+    code 1."""
+    from tfm import fan as fanmod
+
+    def broken_certificate(out, pieces):
+        raise RuntimeError("pulling triangulation produced a non-regular refinement")
+
+    monkeypatch.setattr(fanmod, "_relative_convexity_certificate", broken_certificate)
+    fan = write(tmp_path, "cube.fan.json", CUBE_FAN)
+    code = main(["qfact", "--fan", fan, "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: pulling triangulation produced a non-regular refinement\n"
+    )

@@ -195,6 +195,40 @@ def test_is_projective(p2, hirzebruch1, nonprojective_fan):
     assert not is_projective(nonprojective_fan)
 
 
+def test_is_projective_matches_lp_oracle(nonprojective_fan):
+    """The pointedness test agrees with the LP it replaced: some divisor
+    pairs >= 1 with every wall class."""
+    import _corpus
+
+    from tfm import polyhedra
+    from tfm.divisor import curve_class_space
+    from tfm.lattice import mat_vec
+
+    def projective_via_lp(f):
+        space = curve_class_space(f)
+        ineqs = [(cls, 1) for cls in space.wall_classes]
+        return polyhedra.lp_feasible(space.dim, ineqs=ineqs) is not None
+
+    rng = random.Random(11)
+    f = nonprojective_fan
+    sheared = [
+        Fan(3, [mat_vec(m, r) for r in f.rays], f.max_cones)
+        for m in (_corpus.shear_matrix(rng, 3) for _ in range(3))
+    ]
+    subdivided = [star_subdivision(f, w) for w in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    fans = (
+        _corpus.projective_batch(20241018)
+        + _corpus.nonsimplicial_corpus(rng, 6)
+        + [f]
+        + sheared
+        + subdivided
+    )
+    verdicts = [is_projective(g) for g in fans]
+    assert verdicts == [projective_via_lp(g) for g in fans]
+    # the non-projective fan's relatives exercise both verdicts
+    assert not verdicts[-7] and set(verdicts[-7:]) == {True, False}
+
+
 def test_nonprojective_qfactorialization_of_its_coarsening():
     # sanity: projectivity is decided, not assumed, for random shears
     rng = random.Random(7)

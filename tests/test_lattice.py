@@ -145,6 +145,19 @@ def test_integer_kernel_saturated():
     assert lattice.smith_normal_form(basis).diag == (1, 1)
 
 
+def test_integer_kernel_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integer entries"):
+        lattice.integer_kernel([(Fraction(1, 3), 1, 0)])
+    # integral Fractions are integers
+    assert lattice.integer_kernel([(Fraction(2), 0)]) == lattice.integer_kernel([(2, 0)])
+
+
+def test_row_basis_keeps_first_independent_rows():
+    rows = [(1, 2, 0), (2, 4, 0), (0, 0, 1), (1, 2, 1), (0, 1, 0)]
+    assert lattice.row_basis(rows) == [(1, 2, 0), (0, 0, 1), (0, 1, 0)]
+    assert lattice.row_basis([]) == []
+
+
 def test_integer_solve():
     sol = lattice.integer_solve([(2, 1)], (5,))
     assert sol is not None and 2 * sol[0] + sol[1] == 5

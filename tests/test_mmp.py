@@ -110,3 +110,28 @@ def test_mmp_requires_log_canonical(hirzebruch1):
     pair = FoliatedPair(hirzebruch1, v, TorusDivisor((0, 2, 0, 0)))
     with pytest.raises(ValueError, match="log canonical"):
         mmp_step(pair)
+
+
+def test_subspace_keeps_no_per_fan_state(hirzebruch1):
+    """Ray masks are cached on the fans the MMP builds, not on the
+    foliation subspace, so the subspace is unchanged by a run."""
+    import copy
+    import random
+
+    import _corpus
+
+    rng = random.Random(5)
+    pairs = [_pair(hirzebruch1, [(1, 0)])]
+    pairs += [
+        _corpus.random_pair(rng, _corpus.random_simplicial_fan(rng, 3, 3))
+        for _ in range(4)
+    ]
+    for pair in pairs:
+        state = copy.deepcopy(vars(pair.subspace))
+        trace = run_mmp(pair)
+        assert trace.steps
+        assert vars(pair.subspace) == state
+        assert set(state) == {"basis", "rank", "dim"}
+        for step in trace.steps:
+            if step.pair_after is not None:
+                assert step.pair_after.subspace is pair.subspace

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import _corpus
 import pytest
 
+from tfm import moricone, polyhedra
 from tfm.divisor import (
     TorusDivisor,
     curve_class_space,
@@ -16,6 +18,7 @@ from tfm.fan import (
     Fan,
     enumerate_walls,
     fans_unimodular_equivalent,
+    is_projective,
     projective_space,
 )
 from tfm.foliation import FoliatedPair, FoliationSubspace, full_space
@@ -103,8 +106,12 @@ def test_ray_length_golden(p2, hirzebruch1):
     assert ray_length(pair_w, d3_ray) == 0
 
 
-def test_supporting_divisor_duality(p2, hirzebruch1, p112, p1xp1):
-    for f in (p2, hirzebruch1, p112, p1xp1):
+BATCH_SEED = 20241018
+
+
+def test_supporting_divisor_duality(p2, p3, hirzebruch1, p112, p1xp1, cube_fan):
+    fans = [p2, p3, hirzebruch1, p112, p1xp1, cube_fan]
+    for f in fans + _corpus.projective_batch(BATCH_SEED):
         space = curve_class_space(f)
         for ray in mori_cone(f):
             d = supporting_divisor(f, ray)
@@ -146,6 +153,104 @@ def test_contraction_golden(hirzebruch1, p2):
     to_point = contraction(p2, p2_ray)
     assert to_point.kind == "fiber"
     assert to_point.target.dim == 0
+
+
+def test_mori_pipeline_solves_no_lp(
+    monkeypatch, p1, p2, p3, hirzebruch1, p112, p1xp1, cube_fan,
+    quadric_cone_resolution, nonprojective_fan,
+):
+    fans = [p1, p2, p3, hirzebruch1, p112, p1xp1, cube_fan, quadric_cone_resolution]
+    fans += _corpus.projective_batch(BATCH_SEED)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the Mori pipeline solved an LP")
+
+    monkeypatch.setattr(polyhedra, "lp_feasible", no_lp)
+    assert not is_projective(nonprojective_fan)
+    for f in fans:
+        assert is_projective(f)
+        for ray in mori_cone(f):
+            supporting_divisor(f, ray)
+            contraction(f, ray)
+
+
+def _copy(f):
+    return Fan(f.dim, f.rays, f.max_cones)
+
+
+def test_contraction_with_rescaled_supporting_divisor(
+    monkeypatch, p2, hirzebruch1, quadric_cone_resolution
+):
+    """Scaling the supporting divisor by 3/11 puts 3/11-type entries
+    into the polytope's vertex differences; the contraction (kind,
+    target, projection) must not change, and Smith normal form only
+    sees independent integer rows."""
+    from tfm.lattice import rational_rank
+    fans = [p2, hirzebruch1, quadric_cone_resolution]
+    fans += _corpus.projective_batch(BATCH_SEED)[-3:]
+    golden = []
+    for f in fans:
+        for ray in mori_cone(f):
+            c = contraction(f, ray)
+            golden.append((c.kind, c.target, c.projection))
+    unscaled = moricone.supporting_divisor
+    monkeypatch.setattr(
+        moricone,
+        "supporting_divisor",
+        lambda f, ray: Fraction(3, 11) * unscaled(f, ray),
+    )
+    kernel_inputs = []
+    recorded = moricone.integer_kernel
+
+    def recording(rows):
+        kernel_inputs.append([tuple(r) for r in rows])
+        return recorded(rows)
+
+    monkeypatch.setattr(moricone, "integer_kernel", recording)
+    scaled = []
+    for f in map(_copy, fans):
+        for ray in mori_cone(f):
+            c = contraction(f, ray)
+            assert any(x.denominator == 11 for x in c.supporting.coeffs) or all(
+                x == 0 for x in c.supporting.coeffs
+            )
+            scaled.append((c.kind, c.target, c.projection))
+    assert scaled == golden
+    assert len(kernel_inputs) >= 5
+    for rows in kernel_inputs:
+        assert all(type(x) is int for row in rows for x in row)
+        assert rational_rank(rows) == len(rows)
+    kinds = [k for k, _, _ in golden]
+    # P2 -> point, the Hirzebruch fibration and blow-down, the flop
+    assert kinds[:4] == ["fiber", "fiber", "divisorial", "small"]
+    assert golden[2][1] == Fan(2, [(-1, -1), (0, 1), (1, 0)], [(0, 1), (0, 2), (1, 2)])
+
+
+def test_cone_theorem_contracts_each_ray_once(monkeypatch):
+    """check_cone_theorem and then fujita_report on long-ray pairs find
+    one supporting divisor per extremal ray: every later contraction
+    (bundle detection, exception certificates) reuses the cached one."""
+    from tfm.fan import product
+
+    x = product(projective_space(1), projective_space(2))
+    pair = FoliatedPair(x, FoliationSubspace([(0, 1, 0), (0, 0, 1)]), zero_divisor(x))
+    calls = []
+    counted = moricone.supporting_divisor
+
+    def counting(f, ray):
+        calls.append(ray.generator)
+        return counted(f, ray)
+
+    monkeypatch.setattr(moricone, "supporting_divisor", counting)
+    report = check_cone_theorem(pair)
+    assert report.ok
+    assert any(e.needs_bundle and e.bundle is not None for e in report.rays)
+    generators = sorted(r.generator for r in mori_cone(x))
+    assert sorted(calls) == generators
+    assert fujita_report(pair, TorusDivisor((1, 0, 1, 0, 0))).improved_exception
+    assert sorted(calls) == generators
+    ray = mori_cone(x)[0]
+    assert contraction(x, ray) is contraction(x, ray)
 
 
 def test_contraction_small(quadric_cone_resolution):
