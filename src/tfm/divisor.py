@@ -118,7 +118,14 @@ def is_cartier(f: Fan, d: TorusDivisor) -> bool:
 
 def wall_quotient_vector(f: Fan, wall: Wall):
     """A lattice vector mapping to the positive primitive generator of
-    N / (N ∩ span(wall)), oriented towards side_b."""
+    N / (N ∩ span(wall)), oriented towards side_b; cached per wall."""
+    key = ("wall_quotient_vector", wall)
+    if key not in f._cache:
+        f._cache[key] = _wall_quotient_vector(f, wall)
+    return f._cache[key]
+
+
+def _wall_quotient_vector(f: Fan, wall: Wall):
     span_rows = [f.rays[i] for i in wall.rays]
     if span_rows:
         kernel = integer_kernel(span_rows)

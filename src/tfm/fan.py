@@ -19,6 +19,7 @@ from tfm.lattice import (
     mat_vec,
     primitive_vector,
     rational_rank,
+    row_basis,
     solve_linear,
     sublattice_index,
 )
@@ -142,10 +143,11 @@ def validate_fan(f: Fan) -> FanValidation:
 
     for ci, cone in enumerate(f.max_cones):
         vecs = f.cone_vectors(cone)
-        if not polyhedra.cone_is_pointed(vecs, f.dim):
+        hrep = f.cone_hrep(cone)
+        if not polyhedra.cone_is_pointed(vecs, f.dim, hrep):
             bad.append("cone %d is not strongly convex" % ci)
             continue
-        extreme = polyhedra.extreme_generator_indices(vecs, f.dim)
+        extreme = polyhedra.extreme_generator_indices(vecs, f.dim, hrep)
         if len(extreme) != len(cone):
             bad.append("cone %d lists a non-extreme (redundant) ray" % ci)
     if bad:
@@ -294,13 +296,6 @@ def check_support_function(f: Fan, spec: SupportFunctionSpec, integral: bool = F
                     raise ValueError(
                         "support function disagrees on the shared ray %d" % i
                     )
-
-
-def support_value(f: Fan, spec: SupportFunctionSpec, v) -> Fraction:
-    ci = f.containing_max_cone(v)
-    if ci is None:
-        raise ValueError("vector lies outside the fan's support")
-    return Fraction(dot(spec.values[ci], v))
 
 
 class QFactorialization(NamedTuple):
@@ -539,15 +534,9 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     if sorted(map(len, f1.max_cones)) != sorted(map(len, f2.max_cones)):
         return None
     n = f1.dim
-    basis_idx = []
-    for i, r in enumerate(f1.rays):
-        if rational_rank([f1.rays[j] for j in basis_idx] + [r]) > len(basis_idx):
-            basis_idx.append(i)
-        if len(basis_idx) == n:
-            break
-    if len(basis_idx) < n:
+    basis = row_basis(f1.rays)
+    if len(basis) < n:
         return None
-    basis = [f1.rays[i] for i in basis_idx]
     cones2 = set(map(tuple, (sorted(c) for c in f2.max_cones)))
     for images in permutations(range(len(f2.rays)), n):
         target = [f2.rays[i] for i in images]

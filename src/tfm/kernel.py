@@ -1,41 +1,20 @@
 """Exact integer kernels for the cohomology weight scan and boundary ranks.
 
 Everything here is integer arithmetic, so arbitrarily large ray
-coordinates and divisor coefficients give exact results.
+coordinates and divisor coefficients give exact results.  Boundary ranks
+come from the lattice layer's one elimination, `bareiss_echelon`.
 """
 
 from __future__ import annotations
+
+from tfm.lattice import bareiss_echelon
 
 BACKEND = "python"
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix via fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nr and col < nc:
-        pr = next((i for i in range(rank, nr) if m[i][col] != 0), None)
-        if pr is None:
-            col += 1
-            continue
-        if pr != rank:
-            m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][col]
-        for i in range(rank + 1, nr):
-            mi = m[i]
-            mr = m[rank]
-            f = mi[col]
-            for j in range(col + 1, nc):
-                mi[j] = (mi[j] * piv - f * mr[j]) // prev
-            mi[col] = 0
-        prev = piv
-        rank += 1
-        col += 1
-    return rank
+    """Rank of an integer matrix: the pivots of its fraction-free echelon."""
+    return len(bareiss_echelon(rows)[1])
 
 
 def _line_offsets(q, head, box):

@@ -3,12 +3,17 @@
 Everything here works over arbitrary-precision ints and fractions.Fraction;
 no floating point appears anywhere in the package.  Vectors are tuples,
 matrices are sequences of row tuples.
+
+One elimination answers every rank, kernel, solve, determinant and
+row-basis question: `bareiss_echelon`, forward fraction-free Gaussian
+elimination on rows scaled to integers.  Smith normal form stays
+separate, because it needs the unimodular transforms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple
@@ -66,66 +71,93 @@ def primitive_vector(v: Sequence[int]) -> Vec:
     return tuple(x // g for x in v)
 
 
+def _integer_row(row):
+    """The row scaled to integers by the lcm of its denominators; all-int rows pass."""
+    if all(type(x) is int for x in row):
+        return row
+    fracs = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs]
+
+
 def primitivize(v: Sequence) -> Vec:
     """Primitive integer vector spanning the same ray as a rational vector."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive representative")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive_vector([int(x * den) for x in fracs])
+    return primitive_vector(_integer_row(v))
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q.  Returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+def bareiss_echelon(rows):
+    """Fraction-free row echelon form of an integer matrix (Bareiss, 1968):
+    (nonzero echelon rows, their pivot columns, sign of the row swaps).
+
+    Entry j of echelon row r is the minor of the row-swapped matrix on
+    its first r + 1 rows and the columns pivots[:r] + [j], so every
+    division is exact and the last pivot is the pivot-block minor.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    sign = 1
+    prev = 1
+    for col in range(nc):
+        rank = len(pivots)
+        if rank == nr:
+            break
+        pr = next((i for i in range(rank, nr) if m[i][col]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+        if pr != rank:
+            m[rank], m[pr] = m[pr], m[rank]
+            sign = -sign
+        top = m[rank]
+        piv = top[col]
+        for i in range(rank + 1, nr):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, nc):
+                row[j] = (row[j] * piv - f * top[j]) // prev
+            row[col] = 0
+        pivots.append(col)
+        prev = piv
+    return m[: len(pivots)], pivots, sign
+
+
+def _rref_column(echelon, pivots, col):
+    """Column col of the reduced row echelon form.  By Cramer's rule the
+    last pivot d times each entry is an integer, so the back-substitution
+    stays in integers and divides exactly."""
+    d = echelon[-1][pivots[-1]] if pivots else 1
+    k = len(pivots)
+    nums = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = echelon[i]
+        s = d * row[col]
+        for j in range(i + 1, k):
+            s -= row[pivots[j]] * nums[j]
+        nums[i] = s // row[pivots[i]]
+    return [Fraction(x, d) for x in nums]
 
 
 def rational_rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(bareiss_echelon([_integer_row(r) for r in rows])[1])
 
 
 def rational_kernel(rows, ncols: Optional[int] = None):
-    """Basis of the right kernel of a matrix over Q."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    ncols = len(rows[0])
-    red, pivots = _rref(rows)
-    pivot_set = set(pivots)
+    """Basis of the right kernel of a matrix over Q: one vector per
+    non-pivot column, read off the reduced row echelon form."""
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    echelon, pivots, _ = bareiss_echelon([_integer_row(r) for r in rows])
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][free]
+        for p, x in zip(pivots, _rref_column(echelon, pivots, free)):
+            v[p] = -x
         basis.append(tuple(v))
     return basis
 
@@ -135,13 +167,13 @@ def solve_linear(rows, rhs):
     if not rows:
         return tuple()
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
+    aug = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
+    echelon, pivots, _ = bareiss_echelon(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
+    for p, value in zip(pivots, _rref_column(echelon, pivots, ncols)):
+        x[p] = value
     return tuple(x)
 
 
@@ -272,12 +304,11 @@ def sublattice_index(generators) -> int:
 
 def row_basis(rows):
     """The rows that raise the rational rank of the rows kept before
-    them: a basis of the row space, in input order."""
-    kept = []
-    for row in rows:
-        if rational_rank(kept + [row]) > len(kept):
-            kept.append(row)
-    return kept
+    them: a basis of the row space, in input order.  These are the pivot
+    columns of the echelon of the transposed rows."""
+    rows = list(rows)
+    cols = transpose([_integer_row(r) for r in rows])
+    return [rows[j] for j in bareiss_echelon(cols)[1]]
 
 
 def integer_kernel(rows):
@@ -348,23 +379,12 @@ def minor_gcd(rows, k: int) -> int:
 
 
 def det(rows):
-    """Exact integer determinant (fraction-free Bareiss)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Exact integer determinant: the sign of the row swaps times the
+    last pivot of the fraction-free echelon."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("det needs a square matrix")
+    echelon, pivots, sign = bareiss_echelon(rows)
+    if len(pivots) < n:
+        return 0
+    return sign * echelon[-1][-1] if n else 1

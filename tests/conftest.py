@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from tfm.fan import Fan, projective_space, product
+
+# Every property test draws the same examples on every run, so a tier-1
+# failure reproduces; each test keeps its own max_examples.
+settings.register_profile("tfm", derandomize=True)
+settings.load_profile("tfm")
 
 
 @pytest.fixture

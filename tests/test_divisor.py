@@ -55,6 +55,21 @@ def test_intersect_wall_golden(hirzebruch1):
     assert divisor_wall_pairing(hirzebruch1, minus_kw, by_ray[2]) == 0
 
 
+def test_wall_quotient_vector_computed_once_per_wall(hirzebruch1, monkeypatch):
+    from tfm import divisor
+
+    walls = enumerate_walls(hirzebruch1)
+    expected = [divisor._wall_quotient_vector(hirzebruch1, w) for w in walls]
+    calls = []
+    real = divisor.integer_kernel
+    monkeypatch.setattr(divisor, "integer_kernel", lambda rows: calls.append(rows) or real(rows))
+    for d in (TorusDivisor((0, 1, 0, 1)), TorusDivisor((1, 0, 0, 0)), ray_divisor(hirzebruch1, 2)):
+        for w in walls:
+            divisor_wall_pairing(hirzebruch1, d, w)
+    assert len(calls) == len(walls)
+    assert [divisor.wall_quotient_vector(hirzebruch1, w) for w in walls] == expected
+
+
 def test_intersect_wall_p112(p112):
     walls = enumerate_walls(p112)
     wall0 = next(w for w in walls if w.rays == (0,))

@@ -27,6 +27,16 @@ def test_validate_p2(p2):
     assert validate_fan(p2).ok
 
 
+def test_validate_runs_one_dd_per_cone(cube_fan, monkeypatch):
+    from tfm import polyhedra
+
+    calls = []
+    real = polyhedra.dd_vrep
+    monkeypatch.setattr(polyhedra, "dd_vrep", lambda *a: calls.append(a) or real(*a))
+    assert validate_fan(cube_fan).ok
+    assert len(calls) == len(cube_fan.max_cones)
+
+
 def test_validate_duplicate_ray():
     f = Fan(2, [(1, 0), (0, 1), (1, 0)], [(0, 1), (1, 2)])
     report = validate_fan(f)

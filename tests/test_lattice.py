@@ -1,11 +1,90 @@
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tfm import lattice
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fraction: (reduced rows, pivot columns).  Test
+    oracle for the fraction-free echelon."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows)[1])
+
+
+def reference_kernel(rows, ncols):
+    red, pivots = reference_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(rows, rhs):
+    ncols = len(rows[0])
+    red, pivots = reference_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][ncols]
+    return tuple(x)
+
+
+def reference_det(rows):
+    """Leibniz formula: a signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def reference_row_basis(rows):
+    kept = []
+    for row in rows:
+        if reference_rank(kept + [row]) > len(kept):
+            kept.append(row)
+    return kept
+
+
+def assert_fraction_vectors(got, expected):
+    assert got == expected
+    assert all(type(x) is Fraction for v in got for x in v)
 
 
 def test_primitive_vector():
@@ -188,3 +267,81 @@ def test_det():
     assert lattice.det(((1, 2), (3, 4))) == -2
     assert lattice.det(((2, 0, 0), (0, 3, 0), (0, 0, 4))) == 24
     assert lattice.det(((0, 1), (1, 0))) == -1
+
+
+INTS = st.one_of(st.sampled_from([0, 0, 1, -1, 2, -3]), st.integers(-10**30, 10**30))
+ENTRIES = st.one_of(
+    INTS, st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 5), st.data())
+def test_elimination_matches_reference(nr, nc, data):
+    rows = [tuple(data.draw(ENTRIES) for _ in range(nc)) for _ in range(nr)]
+    if nr and data.draw(st.booleans()):  # a row in the span of two others
+        i, j = data.draw(st.integers(0, nr - 1)), data.draw(st.integers(0, nr - 1))
+        c = data.draw(ENTRIES)
+        rows.append(tuple(c * x + y for x, y in zip(rows[i], rows[j])))
+    assert lattice.rational_rank(rows) == reference_rank(rows)
+    assert lattice.row_basis(rows) == reference_row_basis(rows)
+    if rows:
+        assert_fraction_vectors(lattice.rational_kernel(rows), reference_kernel(rows, nc))
+        x0 = [data.draw(ENTRIES) for _ in range(nc)]
+        consistent = tuple(lattice.dot(row, x0) for row in rows)
+        arbitrary = tuple(data.draw(ENTRIES) for _ in rows)
+        for rhs in (consistent, arbitrary):
+            got = lattice.solve_linear(rows, rhs)
+            assert got == reference_solve(rows, rhs)
+            assert got is None or all(type(x) is Fraction for x in got)
+    else:
+        assert_fraction_vectors(lattice.rational_kernel(rows, ncols=nc), reference_kernel(rows, nc))
+    square = [[data.draw(INTS) for _ in range(nr)] for _ in range(nr)]
+    if nr >= 2 and data.draw(st.booleans()):
+        square[-1] = [x + y for x, y in zip(square[0], square[1])]
+    got = lattice.det(square)
+    assert got == reference_det(square) and type(got) is int
+
+
+def test_elimination_edge_cases():
+    # no rows
+    assert lattice.rational_rank([]) == 0
+    assert lattice.row_basis([]) == []
+    assert lattice.solve_linear([], []) == ()
+    assert lattice.det([]) == 1
+    assert_fraction_vectors(lattice.rational_kernel([], ncols=2), [(1, 0), (0, 1)])
+    # zero rows among nonzero ones
+    rows = [(0, 0, 0), (1, 2, 3), (0, 0, 0)]
+    assert lattice.rational_rank(rows) == 1
+    assert lattice.row_basis(rows) == [(1, 2, 3)]
+    assert_fraction_vectors(lattice.rational_kernel(rows), reference_kernel(rows, 3))
+    assert lattice.solve_linear(rows, (0, 6, 0)) == (6, 0, 0)
+    assert lattice.solve_linear(rows, (1, 6, 0)) is None
+    # the all-zero matrix
+    zero = [(0, 0), (0, 0)]
+    assert lattice.rational_rank(zero) == 0
+    assert lattice.row_basis(zero) == []
+    assert_fraction_vectors(lattice.rational_kernel(zero), [(1, 0), (0, 1)])
+    assert_fraction_vectors([lattice.solve_linear(zero, (0, 0))], [(0, 0)])
+    assert lattice.solve_linear(zero, (0, 1)) is None
+    assert lattice.det(zero) == 0
+    # singular square matrices
+    assert lattice.det([(1, 2), (2, 4)]) == 0
+    assert lattice.det([(1, 2, 3), (4, 5, 6), (7, 8, 9)]) == 0
+    # the second pivot needs a row swap, which flips the sign
+    m = [(1, 2, 3), (2, 4, 5), (3, 5, 6)]
+    assert lattice.det(m) == reference_det(m) == -1
+    assert lattice.det([m[0], m[2], m[1]]) == 1
+    with pytest.raises(ValueError, match="square"):
+        lattice.det([(1, 2)])
+    # an inconsistent augmented system
+    assert lattice.solve_linear([(1, 2), (2, 4)], (1, 3)) is None
+    assert lattice.solve_linear([(1, 0, 1), (0, 1, 1), (1, 1, 2)], (1, 1, 3)) is None
+    # a Fraction row only scales by the lcm of its denominators, 6 here
+    frac = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))
+    assert lattice.primitivize(frac) == (3, 2, 5)
+    assert lattice.rational_rank([frac, (3, 2, 5)]) == 1
+    assert lattice.row_basis([frac, (3, 2, 5), (1, 0, 0)]) == [frac, (1, 0, 0)]
+    assert_fraction_vectors(lattice.rational_kernel([frac]), lattice.rational_kernel([(3, 2, 5)]))
+    assert lattice.solve_linear([frac], (1,)) == (2, 0, 0)
