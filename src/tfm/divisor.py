@@ -10,7 +10,6 @@ formula on simplicial fans is a test invariant.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
@@ -201,29 +200,25 @@ class Polytope(NamedTuple):
 
 
 def divisor_polytope(f: Fan, d: TorusDivisor) -> Polytope:
-    """Section polytope of the divisor; vertex enumeration is a brute
-    force over n-subsets of the defining inequalities."""
+    """Section polytope of the divisor.  Its vertices are the extreme
+    rays with t > 0 of one double description of the homogenization
+    {(m, t) : <m, u_rho> + a_rho t >= 0, t >= 0}, scaled to t = 1; none
+    means the polytope is empty.  A nonempty polytope with a lineality
+    space is unbounded, which complete fans exclude (the rays positively
+    span the lattice)."""
     n = f.dim
     rows = tuple(f.rays)
     rhs = tuple(-c for c in d.coeffs)
     if n == 0:
         return Polytope(rows, rhs, ((),))
-    vertices = set()
-    for subset in combinations(range(len(rows)), n):
-        sys_rows = [rows[i] for i in subset]
-        if rational_rank(sys_rows) != n:
-            continue
-        sol = solve_linear(sys_rows, [rhs[i] for i in subset])
-        if sol is None:
-            continue
-        if all(dot(row, sol) >= b for row, b in zip(rows, rhs)):
-            vertices.add(tuple(Fraction(x) for x in sol))
-    if not vertices:
-        # distinguish empty from unbounded (the latter cannot occur on
-        # complete fans: the rays positively span the lattice)
-        if polyhedra.lp_feasible(n, ineqs=list(zip(rows, rhs))) is not None:
-            raise RuntimeError("divisor polytope is unbounded; fan not complete?")
-    return Polytope(rows, rhs, tuple(sorted(vertices)))
+    homogenized = [tuple(row) + (c,) for row, c in zip(rows, d.coeffs)]
+    homogenized.append((0,) * n + (1,))
+    cone = polyhedra.dd_vrep(homogenized, n + 1)
+    vertices = [r for r in cone.rays if r[n] > 0]
+    if vertices and cone.lineality:
+        raise RuntimeError("divisor polytope is unbounded; fan not complete?")
+    vertices = sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in vertices)
+    return Polytope(rows, rhs, tuple(vertices))
 
 
 def lattice_points(p: Polytope):

@@ -92,8 +92,9 @@ class Fan:
                 facets = [tuple(c for c in cone if c != drop) for drop in cone]
             else:
                 vecs = self.cone_vectors(cone)
+                hrep = self.cone_hrep(cone)
                 facets = []
-                for _, members in polyhedra.facet_ray_sets(vecs, self.dim):
+                for _, members in polyhedra.facet_ray_sets(vecs, self.dim, hrep):
                     facets.append(tuple(cone[i] for i in members))
             self._cache[key] = sorted(facets)
         return self._cache[key]
@@ -169,12 +170,13 @@ def validate_fan(f: Fan) -> FanValidation:
 
 def _separable_along_common_face(f: Fan, ca, cb, shared) -> bool:
     """Separation test: a functional vanishing on the shared rays,
-    >= 1 on the rest of ca and <= -1 on the rest of cb, exists iff the
-    intersection is the common face spanned by the shared rays."""
-    eqs = [(f.rays[i], 0) for i in shared]
-    ineqs = [(f.rays[i], 1) for i in ca if i not in shared]
-    ineqs += [(tuple(-x for x in f.rays[i]), 1) for i in cb if i not in shared]
-    return polyhedra.lp_feasible(f.dim, eqs=eqs, ineqs=ineqs) is not None
+    > 0 on the rest of ca and < 0 on the rest of cb, exists iff the
+    intersection is the common face spanned by the shared rays.  One
+    double description per pair of cones (`strictly_positive_point`)."""
+    eqs = [f.rays[i] for i in shared]
+    ineqs = [f.rays[i] for i in ca if i not in shared]
+    ineqs += [tuple(-x for x in f.rays[i]) for i in cb if i not in shared]
+    return polyhedra.strictly_positive_point(ineqs, f.dim, eqs) is not None
 
 
 def is_complete(f: Fan) -> bool:
@@ -261,7 +263,7 @@ def star_subdivision(f: Fan, w: Sequence[int]) -> Fan:
             new_cones.append(cone)
             continue
         for facet in f.facet_index_sets(cone):
-            if facet and polyhedra.cone_contains(f.cone_vectors(facet), w, f.dim):
+            if facet and f.cone_contains(facet, w):
                 continue
             new_cones.append(tuple(sorted(facet + (w_index,))))
     return Fan(f.dim, f.rays + (w,), new_cones)
@@ -336,7 +338,7 @@ def _pull_triangulate(f: Fan, cone):
     r = cone[0]
     vecs = f.cone_vectors(cone)
     out = []
-    for _, members in polyhedra.facet_ray_sets(vecs, f.dim):
+    for _, members in polyhedra.facet_ray_sets(vecs, f.dim, f.cone_hrep(cone)):
         facet = tuple(cone[i] for i in members)
         if r in facet:
             continue
@@ -347,60 +349,46 @@ def _pull_triangulate(f: Fan, cone):
 
 def _relative_convexity_certificate(out: Fan, pieces):
     """Functionals m_T, one per simplex, strictly convex across the
-    internal walls of a subdivided cone.  Raises if none exists."""
+    internal walls of a subdivided cone: adjacent pieces agree on their
+    shared rays, and on each far ray the near piece's functional exceeds
+    the far piece's by at least 1, with equality somewhere.  Raises if
+    none exists."""
     n = out.dim
     index = {piece: k for k, piece in enumerate(pieces)}
     incidence: dict = {}
     for piece in pieces:
         for facet in (tuple(c for c in piece if c != d) for d in piece):
             incidence.setdefault(facet, []).append(piece)
+
+    def difference(k_plus, k_minus, ray):
+        # <m_plus - m_minus, ray> on the stacked functionals
+        row = [0] * (n * len(pieces))
+        row[k_plus * n:(k_plus + 1) * n] = ray
+        row[k_minus * n:(k_minus + 1) * n] = [-x for x in ray]
+        return row
+
     eqs = []
     ineqs = []
-
-    def var(piece_k, coord):
-        return piece_k * n + coord
-
-    def functional(coeffs_by_var):
-        row = [Fraction(0)] * (n * len(pieces))
-        for v, c in coeffs_by_var:
-            row[v] += c
-        return tuple(row)
-
     for facet, touching in incidence.items():
         if len(touching) != 2:
             continue
         pa, pb = touching
         ka, kb = index[pa], index[pb]
-        for i in facet:
-            ray = out.rays[i]
-            eqs.append(
-                (
-                    functional(
-                        [(var(ka, c), Fraction(ray[c])) for c in range(n)]
-                        + [(var(kb, c), Fraction(-ray[c])) for c in range(n)]
-                    ),
-                    0,
-                )
-            )
+        eqs += [difference(ka, kb, out.rays[i]) for i in facet]
         for piece_far, k_near, k_far in ((pb, ka, kb), (pa, kb, ka)):
-            far_rays = [i for i in piece_far if i not in facet]
-            for i in far_rays:
-                ray = out.rays[i]
-                ineqs.append(
-                    (
-                        functional(
-                            [(var(k_near, c), Fraction(ray[c])) for c in range(n)]
-                            + [(var(k_far, c), Fraction(-ray[c])) for c in range(n)]
-                        ),
-                        1,
-                    )
-                )
-    sol = polyhedra.lp_feasible(n * len(pieces), eqs=eqs, ineqs=ineqs)
+            ineqs += [
+                difference(k_near, k_far, out.rays[i]) for i in piece_far if i not in facet
+            ]
+    sol = polyhedra.strictly_positive_point(ineqs, n * len(pieces), eqs)
     if sol is None:
         raise RuntimeError(
             "pulling triangulation produced a non-regular refinement"
         )
-    return {piece: tuple(sol[index[piece] * n + c] for c in range(n)) for piece in pieces}
+    scale = min(dot(a, sol) for a in ineqs)
+    return {
+        piece: tuple(Fraction(sol[index[piece] * n + c], scale) for c in range(n))
+        for piece in pieces
+    }
 
 
 def is_projective(f: Fan) -> bool:

@@ -1,12 +1,11 @@
 """Exact rational polyhedral cone computations.
 
-Double description (incremental insertion with adjacency pruning) for
-V/H conversions of cones, plus a two-phase simplex over Fractions for
-the feasibility questions that remain: fan separation, strict-convexity
-certificates and the empty-polytope test.  Projectivity and supporting
-divisors need no LP; they are read off the H-representation of the
-Mori cone (see `fan.is_projective`).  Scales are small throughout:
-dimension <= ~12, at most a few dozen constraints.
+One algorithm, the double description (incremental insertion with
+adjacency pruning), answers every polyhedral question of the library:
+V/H conversions, pointedness, extreme rays, and strict feasibility of
+homogeneous systems by Gordan's alternative (`strictly_positive_point`).
+The phase-1 simplex at the end has no library caller.  Scales are small
+throughout: dimension <= ~12, at most a few dozen constraints.
 """
 
 from __future__ import annotations
@@ -139,19 +138,6 @@ def cone_hrep(generators: Sequence, dim: int) -> ConeHRep:
     return ConeHRep(dual.rays, dual.lineality)
 
 
-def cone_contains(generators: Sequence, x, dim: int, hrep: Optional[ConeHRep] = None) -> bool:
-    if hrep is None:
-        hrep = cone_hrep(generators, dim)
-    return hrep.contains(x)
-
-
-def cone_dim(generators: Sequence) -> int:
-    gens = [g for g in generators if not is_zero(g)]
-    if not gens:
-        return 0
-    return rational_rank(gens)
-
-
 def cone_is_pointed(generators: Sequence, dim: int, hrep: Optional[ConeHRep] = None) -> bool:
     """A cone is pointed iff its dual is full-dimensional."""
     if hrep is None:
@@ -175,7 +161,6 @@ def extreme_generator_indices(
         hrep = cone_hrep(gens, dim)
     if not cone_is_pointed(gens, dim, hrep):
         raise ValueError("extreme rays are defined only for pointed cones")
-    d = cone_dim(gens)
     seen = set()
     out = []
     for i, g in enumerate(gens):
@@ -189,6 +174,19 @@ def extreme_generator_indices(
         if rational_rank(list(active) + list(hrep.span_eqs)) == dim - 1:
             out.append(i)
     return out
+
+
+def strictly_positive_point(ineqs: Sequence, dim: int, eqs: Sequence = ()) -> Optional[tuple]:
+    """An integer x with <e,x> = 0 for e in eqs and <a,x> > 0 for a in
+    ineqs, or None.  Gordan's alternative: a row is positive somewhere
+    on C = {<a,x> >= 0, <e,x> = 0} iff it is positive on an extreme ray
+    of C, so the sum of the extreme rays is strict wherever C is.  The
+    system is homogeneous: x exists iff <a,x> >= 1 is feasible on it."""
+    rays = dd_vrep(ineqs, dim, eqs).rays
+    point = tuple(sum(column) for column in zip(*rays)) if rays else (0,) * dim
+    if all(dot(a, point) > 0 for a in ineqs):
+        return point
+    return None
 
 
 def facet_ray_sets(generators: Sequence, dim: int, hrep: Optional[ConeHRep] = None):
@@ -208,6 +206,8 @@ def facet_ray_sets(generators: Sequence, dim: int, hrep: Optional[ConeHRep] = No
 
 # ---------------------------------------------------------------------------
 # Exact linear programming (feasibility via phase-1 simplex, Bland's rule)
+# kept for the test corpora and the benchmark, which draw ample divisors
+# from the exact vertex it returns, and as the oracle of the DD tests
 
 
 def lp_feasible(

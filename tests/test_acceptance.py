@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import _corpus
+from tests_helpers import assert_convexity_certificates
 from tfm.cohomology import kodaira_check, serre_duality_check, weil_cohomology
 from tfm.divisor import (
     TorusDivisor,
@@ -306,6 +307,7 @@ def test_criterion_9_qfactorialization(cube_fan):
         assert validate_fan(out).ok
         assert refines(out, f)
         assert result.certificates  # strict convexity over the input
+        assert_convexity_certificates(result)
         subdivided += len(result.certificates)
         # crepancy: pulled-back K_F+Delta kills every contracted wall class
         half_boundary = TorusDivisor(

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import _corpus
+from tfm import polyhedra
 from tfm.divisor import (
     TorusDivisor,
     curve_class_space,
@@ -19,7 +22,8 @@ from tfm.divisor import (
     zero_divisor,
 )
 from tfm.fan import enumerate_walls, multiplicity, star_subdivision
-from tfm.lattice import dot, sublattice_index, vec_add, vec_scale
+from tfm.fan import Fan
+from tfm.lattice import dot, rational_rank, solve_linear, sublattice_index, vec_add, vec_scale
 
 
 def test_qcartier_p2(p2):
@@ -127,6 +131,56 @@ def test_polytope_ample_normal_fan(p2, hirzebruch1, p112):
             )
             actives.add(active)
         assert actives == set(f.max_cones)
+
+
+def reference_vertices(f, d):
+    """Vertices of the section polytope by brute force over n-subsets of
+    its inequalities, and an LP to tell an empty polytope from one with
+    no vertex (test oracle)."""
+    n = f.dim
+    rows = f.rays
+    rhs = [-c for c in d.coeffs]
+    vertices = set()
+    for subset in combinations(range(len(rows)), n):
+        sys_rows = [rows[i] for i in subset]
+        if rational_rank(sys_rows) != n:
+            continue
+        sol = solve_linear(sys_rows, [rhs[i] for i in subset])
+        if sol is None:
+            continue
+        if all(dot(row, sol) >= b for row, b in zip(rows, rhs)):
+            vertices.add(tuple(Fraction(x) for x in sol))
+    if not vertices and polyhedra.lp_feasible(n, ineqs=list(zip(rows, rhs))) is not None:
+        raise RuntimeError("divisor polytope is unbounded; fan not complete?")
+    return tuple(sorted(vertices))
+
+
+def test_divisor_polytope_matches_reference():
+    rng = random.Random(20261018)
+    fans = _corpus.projective_batch(20261018) + _corpus.nonsimplicial_corpus(rng, 6)
+    fans += [_corpus._apply_matrix(f, _corpus.shear_matrix(rng, f.dim)) for f in fans]
+    sizes = []
+    for f in fans:
+        for _ in range(4):
+            d = TorusDivisor(
+                [Fraction(rng.randint(-1, 6), rng.choice([1, 2, 3])) for _ in f.rays]
+            )
+            vertices = divisor_polytope(f, d).vertices
+            assert vertices == reference_vertices(f, d)
+            assert all(type(x) is Fraction for v in vertices for x in v)
+            sizes.append(len(vertices))
+    assert 0 in sizes and max(sizes) > 4  # empty polytopes and many vertices
+    # unbounded with a vertex: the rays of a quadrant
+    quadrant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    d = TorusDivisor((1, Fraction(1, 2)))
+    assert divisor_polytope(quadrant, d).vertices == reference_vertices(quadrant, d)
+    # no vertex but nonempty: the rays of a line in the plane
+    line = Fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
+    for polytope in (divisor_polytope, reference_vertices):
+        with pytest.raises(RuntimeError, match="unbounded"):
+            polytope(line, TorusDivisor((1, 1)))
+    assert divisor_polytope(line, TorusDivisor((-1, 0))).vertices == ()
+    assert reference_vertices(line, TorusDivisor((-1, 0))) == ()
 
 
 def test_pullback_identity(p2):

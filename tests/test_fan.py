@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tests_helpers import assert_convexity_certificates
 from tfm.fan import (
     Fan,
     build_split_bundle,
@@ -28,13 +29,15 @@ def test_validate_p2(p2):
 
 
 def test_validate_runs_one_dd_per_cone(cube_fan, monkeypatch):
+    """One H-representation per cone, shared by the pointedness and
+    extreme-ray checks (separation runs its own DD per pair of cones)."""
     from tfm import polyhedra
 
     calls = []
-    real = polyhedra.dd_vrep
-    monkeypatch.setattr(polyhedra, "dd_vrep", lambda *a: calls.append(a) or real(*a))
+    real = polyhedra.cone_hrep
+    monkeypatch.setattr(polyhedra, "cone_hrep", lambda *a: calls.append(a) or real(*a))
     assert validate_fan(cube_fan).ok
-    assert len(calls) == len(cube_fan.max_cones)
+    assert len(calls) == len(cube_fan.max_cones) == 6
 
 
 def test_validate_duplicate_ray():
@@ -181,11 +184,8 @@ def test_qfactorialize_cube(cube_fan):
     assert refines(out, cube_fan)
     # every subdivided square cone carries a certificate
     assert sorted(result.certificates) == list(range(6))
-    # certificate really is strictly convex: piecewise values differ on
-    # the far rays (checked structurally by construction; re-validate)
-    for ci, cert in result.certificates.items():
-        pieces = sorted(cert)
-        assert len(pieces) == 2
+    assert all(len(cert) == 2 for cert in result.certificates.values())
+    assert_convexity_certificates(result)
 
 
 def test_qfactorialize_cone_map(cube_fan):
@@ -395,3 +395,4 @@ def test_qfactorialize_dim4_shared_nonsimplicial_facets(cube_fan):
     assert validate_fan(out).ok
     assert refines(out, x4)
     assert len(result.certificates) == 12
+    assert_convexity_certificates(result)

@@ -1,7 +1,11 @@
+import contextlib
+import io
+import os
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tfm import lattice, polyhedra
@@ -113,6 +117,77 @@ def test_facet_ray_sets():
     facets = polyhedra.facet_ray_sets([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     members = sorted(m for _, m in facets)
     assert members == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_strictly_positive_point_basic():
+    # x > 0, y > 0 on x + y = 0 is empty; without the equation it is not
+    assert polyhedra.strictly_positive_point([(1, 0), (0, 1)], 2, [(1, 1)]) is None
+    point = polyhedra.strictly_positive_point([(1, 0), (0, 1)], 2)
+    assert point is not None and min(point) > 0
+    # a zero row is never strictly positive; no rows at all always is
+    assert polyhedra.strictly_positive_point([(0, 0)], 2) is None
+    assert polyhedra.strictly_positive_point([], 3, [(1, 1, 1)]) == (0, 0, 0)
+    # the only point with x >= 0 and -x >= 0 is strict on neither
+    assert polyhedra.strictly_positive_point([(1,), (-1,)], 1) is None
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_strictly_positive_point_matches_lp(dim, data):
+    """Gordan's alternative on the DD agrees with the phase-1 simplex on
+    the inhomogeneous system <e,x> = 0, <a,x> >= 1."""
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    ineqs = data.draw(st.lists(vec, max_size=7))
+    eqs = data.draw(st.lists(vec, max_size=2))
+    point = polyhedra.strictly_positive_point(ineqs, dim, eqs)
+    lp = polyhedra.lp_feasible(dim, eqs=[(e, 0) for e in eqs], ineqs=[(a, 1) for a in ineqs])
+    assert (point is None) == (lp is None)
+    if point is not None:
+        assert len(point) == dim and all(type(x) is int for x in point)
+        assert all(lattice.dot(e, point) == 0 for e in eqs)
+        assert all(lattice.dot(a, point) > 0 for a in ineqs)
+
+
+def test_library_solves_no_lp(monkeypatch, cube_fan, nonprojective_fan):
+    """Fan validation, Q-factorialization certificates, section
+    polytopes, the cohomology of a non-simplicial fan and the CLI run
+    on double descriptions alone."""
+    from tfm import cli
+    from tfm.cohomology import weil_cohomology
+    from tfm.divisor import TorusDivisor, divisor_polytope, zero_divisor
+    from tfm.fan import Fan, product, projective_space, qfactorialize, validate_fan
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a library function solved an LP")
+
+    monkeypatch.setattr(polyhedra, "lp_feasible", no_lp)
+    assert validate_fan(cube_fan).ok
+    assert validate_fan(nonprojective_fan).ok
+    nested = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0,), (1, 2)])
+    assert validate_fan(nested).violations == ("maximal cones 0 and 1 are nested",)
+    overlapping = Fan(2, [(1, 0), (1, 1), (0, 1), (2, 1)], [(0, 1), (2, 3)])
+    assert validate_fan(overlapping).violations == (
+        "cones 0 and 1 do not intersect in a common face",
+    )
+
+    assert len(qfactorialize(cube_fan).certificates) == 6
+    assert len(qfactorialize(product(cube_fan, projective_space(1))).certificates) == 12
+
+    p2 = projective_space(2)
+    assert len(divisor_polytope(p2, TorusDivisor((0, 0, 2))).vertices) == 3
+    assert divisor_polytope(p2, TorusDivisor((-1, 0, 0))).vertices == ()
+    line = Fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
+    with pytest.raises(RuntimeError, match="unbounded"):
+        divisor_polytope(line, TorusDivisor((1, 1)))
+
+    assert weil_cohomology(cube_fan, zero_divisor(cube_fan)).h == (1, 0, 0, 0)
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    cube = os.path.join(here, os.pardir, "data", "cube.fan.json")
+    for argv in (["validate", "--fan", cube], ["info", "--fan", cube], ["qfact", "--fan", cube]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--json"]) == 0
 
 
 def test_lp_feasible_basic():
