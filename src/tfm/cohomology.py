@@ -22,6 +22,7 @@ from tfm.divisor import (
     divisor_polytope,
     is_ample,
     lattice_points,
+    is_qcartier,
     pullback,
     qcartier_data,
     toric_canonical,
@@ -148,7 +149,7 @@ def weil_cohomology(
     if not is_complete(f):
         raise ValueError("cohomology scan requires a complete fan")
     if not is_simplicial(f):
-        if qcartier_data(f, d) is None:
+        if not is_qcartier(f, d):
             raise ValueError(
                 "non-simplicial fan and non-Q-Cartier divisor; cannot reduce"
             )
@@ -199,7 +200,7 @@ def kodaira_check(pair: FoliatedPair, l: TorusDivisor, box: Optional[int] = None
         return KodairaReport(False, "pair is not log canonical: " + lc.reason, None, None, None)
     if not l.is_integral():
         raise ValueError("L must be a Weil divisor (integer coefficients)")
-    if qcartier_data(f, l) is None:
+    if not is_qcartier(f, l):
         return KodairaReport(False, "L is not Q-Cartier", None, None, None)
     ample_part = l - pair.k_plus_delta
     if not is_ample(f, ample_part):

@@ -1,10 +1,12 @@
 """Torus-invariant divisors: Cartier data, wall intersections, nef/ample
 tests, polytopes, and pullback along refinements.
 
-Divisors are stored as one rational coefficient per fan ray.  All
-intersection numbers use the lattice-quotient formula, which works on
-walls of non-simplicial fans as well; agreement with the multiplicity
-formula on simplicial fans is a test invariant.
+Divisors are stored as one rational coefficient per fan ray.  Every
+intersection number D . V(wall) is the dot product of the coefficients
+with one cached wall relation (Reid, "Decomposition of toric morphisms";
+Cox-Little-Schenck 6.4), which works on walls of non-simplicial fans as
+well; agreement with the multiplicity formula on simplicial fans is a
+test invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from tfm import polyhedra
 from tfm.fan import Fan, Wall, enumerate_walls, is_complete, refines
 from tfm.lattice import (
     dot,
-    integer_kernel,
+    primitivize,
     rational_kernel,
     rational_rank,
     solve_linear,
@@ -115,71 +117,85 @@ def is_cartier(f: Fan, d: TorusDivisor) -> bool:
     return data is not None and data.is_cartier()
 
 
-def wall_quotient_vector(f: Fan, wall: Wall):
-    """A lattice vector mapping to the positive primitive generator of
-    N / (N ∩ span(wall)), oriented towards side_b; cached per wall."""
-    key = ("wall_quotient_vector", wall)
+def _qcartier_conditions(f: Fan) -> tuple:
+    """The linear relations among the rays of each maximal cone, as
+    vectors with one entry per fan ray; cached per fan."""
+    if "qcartier_conditions" not in f._cache:
+        nrays = len(f.rays)
+        conditions = []
+        for cone in f.max_cones:
+            rows = [f.rays[i] for i in cone]
+            for rel in rational_kernel(list(zip(*rows)), ncols=len(cone)):
+                cond = [Fraction(0)] * nrays
+                for pos, i in enumerate(cone):
+                    cond[i] = rel[pos]
+                conditions.append(tuple(cond))
+        f._cache["qcartier_conditions"] = tuple(conditions)
+    return f._cache["qcartier_conditions"]
+
+
+def is_qcartier(f: Fan, d: TorusDivisor) -> bool:
+    """True iff the divisor is Q-Cartier: on every maximal cone some
+    functional m has <m, u_rho> = -a_rho, which holds exactly when the
+    coefficients are orthogonal to each linear relation among the cone's
+    rays.  Same verdict as `qcartier_data(f, d) is not None`, without
+    solving for m."""
+    return all(dot(c, d.coeffs) == 0 for c in _qcartier_conditions(f))
+
+
+def wall_relation(f: Fan, wall: Wall) -> tuple:
+    """Coefficients c, one per fan ray, with D_a . V(wall) = sum c_rho a_rho
+    for every Q-Cartier a; cached per wall.
+
+    With far the ray of side_b off the wall, ell the primitive wall normal
+    and u_far = sum lambda_i u_i over the rays of side_a:
+    c_far = 1/|<ell, u_far>| and c_i = -lambda_i/|<ell, u_far>|.  This is
+    <m_a - m_b, w> for a lattice w with <ell, w> = 1 towards side_b, since
+    m_a - m_b is a multiple of ell; on a non-simplicial side_a any
+    solution lambda gives the same pairing with Q-Cartier divisors.
+    """
+    key = ("wall_relation", wall)
     if key not in f._cache:
-        f._cache[key] = _wall_quotient_vector(f, wall)
+        kernel = rational_kernel([f.rays[i] for i in wall.rays], ncols=f.dim)
+        if len(kernel) != 1:
+            raise ValueError("wall rays do not span a codimension-1 subspace")
+        ell = primitivize(kernel[0])
+        far = next(i for i in f.max_cones[wall.side_b] if i not in wall.rays)
+        height = abs(dot(ell, f.rays[far]))
+        if height == 0:
+            raise ValueError("wall is not a facet of its adjacent cone")
+        side_a = f.max_cones[wall.side_a]
+        lam = solve_linear(list(zip(*(f.rays[i] for i in side_a))), f.rays[far])
+        c = [Fraction(0)] * len(f.rays)
+        c[far] = Fraction(1, height)
+        for i, x in zip(side_a, lam):
+            c[i] = -x / height
+        f._cache[key] = tuple(c)
     return f._cache[key]
 
 
-def _wall_quotient_vector(f: Fan, wall: Wall):
-    span_rows = [f.rays[i] for i in wall.rays]
-    if span_rows:
-        kernel = integer_kernel(span_rows)
-    else:
-        kernel = [tuple(1 if i == j else 0 for j in range(f.dim)) for i in range(f.dim)]
-    if len(kernel) != 1:
-        raise ValueError("wall rays do not span a codimension-1 subspace")
-    ell = kernel[0]  # primitive functional vanishing on the wall
-    far = next(i for i in f.max_cones[wall.side_b] if i not in wall.rays)
-    sign = dot(ell, f.rays[far])
-    if sign == 0:
-        raise ValueError("wall is not a facet of its adjacent cone")
-    if sign < 0:
-        ell = tuple(-x for x in ell)
-    # any integral w with <ell, w> = 1 lifts the quotient generator
-    from tfm.lattice import integer_solve
-
-    w = integer_solve([ell], (1,))
-    assert w is not None  # ell is primitive, so it is surjective
-    return w
-
-
-def intersect_wall(f: Fan, data: CartierData, wall: Wall) -> Fraction:
-    """D . V(wall) = <m_a - m_b, w> with w the side_b lift of the
-    primitive quotient generator; well-defined because m_a - m_b
-    vanishes on the wall span."""
-    w = wall_quotient_vector(f, wall)
-    ma = data.m[wall.side_a]
-    mb = data.m[wall.side_b]
-    return Fraction(dot(vec_sub(ma, mb), w))
+def _wall_pairings(f: Fan, d: TorusDivisor, walls):
+    """D . V(wall) for each wall, lazily; raises at once unless D is
+    Q-Cartier."""
+    if not is_qcartier(f, d):
+        raise ValueError("divisor is not Q-Cartier")
+    return (Fraction(dot(d.coeffs, wall_relation(f, w))) for w in walls)
 
 
 def divisor_wall_pairing(f: Fan, d: TorusDivisor, wall: Wall) -> Fraction:
-    data = qcartier_data(f, d)
-    if data is None:
-        raise ValueError("divisor is not Q-Cartier")
-    return intersect_wall(f, data, wall)
+    return next(_wall_pairings(f, d, (wall,)))
 
 
 def is_nef(f: Fan, d: TorusDivisor) -> bool:
     if not is_complete(f):
         raise ValueError("nefness is decided on complete fans")
-    data = qcartier_data(f, d)
-    if data is None:
-        raise ValueError("divisor is not Q-Cartier")
-    return all(intersect_wall(f, data, w) >= 0 for w in enumerate_walls(f))
+    return all(x >= 0 for x in _wall_pairings(f, d, enumerate_walls(f)))
 
 
 def is_ample(f: Fan, d: TorusDivisor) -> bool:
     if not is_complete(f):
         raise ValueError("ampleness is decided on complete fans")
-    data = qcartier_data(f, d)
-    if data is None:
-        raise ValueError("divisor is not Q-Cartier")
-    return all(intersect_wall(f, data, w) > 0 for w in enumerate_walls(f))
+    return all(x > 0 for x in _wall_pairings(f, d, enumerate_walls(f)))
 
 
 class Polytope(NamedTuple):
@@ -203,9 +219,9 @@ def divisor_polytope(f: Fan, d: TorusDivisor) -> Polytope:
     """Section polytope of the divisor.  Its vertices are the extreme
     rays with t > 0 of one double description of the homogenization
     {(m, t) : <m, u_rho> + a_rho t >= 0, t >= 0}, scaled to t = 1; none
-    means the polytope is empty.  A nonempty polytope with a lineality
-    space is unbounded, which complete fans exclude (the rays positively
-    span the lattice)."""
+    means the polytope is empty.  A nonempty polytope whose DD also has
+    a ray with t = 0 or a lineality space is unbounded, which complete
+    fans exclude (the rays positively span the lattice)."""
     n = f.dim
     rows = tuple(f.rays)
     rhs = tuple(-c for c in d.coeffs)
@@ -215,7 +231,7 @@ def divisor_polytope(f: Fan, d: TorusDivisor) -> Polytope:
     homogenized.append((0,) * n + (1,))
     cone = polyhedra.dd_vrep(homogenized, n + 1)
     vertices = [r for r in cone.rays if r[n] > 0]
-    if vertices and cone.lineality:
+    if vertices and (cone.lineality or len(vertices) < len(cone.rays)):
         raise RuntimeError("divisor polytope is unbounded; fan not complete?")
     vertices = sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in vertices)
     return Polytope(rows, rhs, tuple(vertices))
@@ -301,34 +317,24 @@ def qcartier_coefficient_basis(f: Fan):
     orthogonal to all linear relations among the cone's rays.
     """
     nrays = len(f.rays)
-    conditions = []
-    for cone in f.max_cones:
-        rows = [f.rays[i] for i in cone]
-        for rel in rational_kernel(list(zip(*rows)), ncols=len(cone)):
-            cond = [Fraction(0)] * nrays
-            for pos, i in enumerate(cone):
-                cond[i] = rel[pos]
-            conditions.append(tuple(cond))
+    conditions = _qcartier_conditions(f)
     if not conditions:
         return [
             tuple(Fraction(int(i == j)) for j in range(nrays))
             for i in range(nrays)
         ]
-    return rational_kernel(conditions, ncols=nrays)
+    return rational_kernel(list(conditions), ncols=nrays)
 
 
 def curve_class_space(f: Fan) -> CurveClassSpace:
     if "curve_class_space" in f._cache:
         return f._cache["curve_class_space"]
     basis = qcartier_coefficient_basis(f)
-    walls = enumerate_walls(f)
-    datas = [qcartier_data(f, TorusDivisor(b)) for b in basis]
-    classes = []
-    for w in walls:
-        classes.append(
-            tuple(intersect_wall(f, data, w) for data in datas)
-        )
-    space = CurveClassSpace(f, tuple(basis), tuple(classes), len(basis))
+    classes = tuple(
+        tuple(Fraction(dot(b, wall_relation(f, w))) for b in basis)
+        for w in enumerate_walls(f)
+    )
+    space = CurveClassSpace(f, tuple(basis), classes, len(basis))
     f._cache["curve_class_space"] = space
     return space
 

@@ -16,6 +16,7 @@ from tfm.divisor import (
     TorusDivisor,
     divisor_wall_pairing,
     is_ample,
+    is_qcartier,
     qcartier_data,
     toric_canonical,
 )
@@ -165,10 +166,10 @@ def klt_perturbation(pair: FoliatedPair, l: TorusDivisor) -> TorusDivisor:
     perturbation used to reduce the vanishing statement to the
     classical toric one."""
     f = pair.fan
-    if qcartier_data(f, l) is None:
+    if not is_qcartier(f, l):
         raise ValueError("L must be Q-Cartier")
     hypothesis = l - pair.k_plus_delta
-    if qcartier_data(f, hypothesis) is None or not is_ample(f, hypothesis):
+    if not is_qcartier(f, hypothesis) or not is_ample(f, hypothesis):
         raise ValueError("L-(K_F+Delta) must be ample")
     inside = set(pair.subspace.ray_mask(f))
     base = TorusDivisor(
@@ -184,7 +185,7 @@ def klt_perturbation(pair: FoliatedPair, l: TorusDivisor) -> TorusDivisor:
         eps /= 2
         candidate = (1 - eps) * base
         target = l - (kx + candidate)
-        if qcartier_data(f, target) is None:
+        if not is_qcartier(f, target):
             failing = "K_X+Delta' not Q-Cartier at eps=%s" % eps
             continue
         if is_ample(f, target):

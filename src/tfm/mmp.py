@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from tfm.divisor import TorusDivisor
+from tfm.divisor import TorusDivisor, curve_class_space, wall_relation
 from tfm.fan import Fan, is_complete, is_projective, is_simplicial, validate_fan
 from tfm.foliation import FoliatedPair, is_log_canonical
+from tfm.lattice import dot, primitivize
 from tfm.moricone import (
     BundleDetectionFailure,
     ExtremalRayData,
@@ -138,15 +139,9 @@ def _flip_fan(f: Fan, ray: ExtremalRayData) -> Fan:
     """Bistellar exchange along the circuit of the contracted wall:
     cones triangulated over the negative part of the wall relation are
     reassembled over the positive part."""
-    wall = ray.member_walls[0]
-    from tfm.divisor import curve_class_space
-
-    space = curve_class_space(f)
-    # Q-factorial: basis divisors are the rays, class entries are the
-    # intersection numbers, and the wall relation reads sum b_rho u_rho = 0
-    cls = space.wall_classes[ray.member_wall_indices[0]]
-    neg = tuple(sorted(i for i, b in enumerate(cls) if b < 0))
-    pos = tuple(sorted(i for i, b in enumerate(cls) if b > 0))
+    rel = wall_relation(f, ray.member_walls[0])
+    neg = tuple(sorted(i for i, b in enumerate(rel) if b < 0))
+    pos = tuple(sorted(i for i, b in enumerate(rel) if b > 0))
     if not neg:
         raise RuntimeError("flip requested on a ray with no negative circuit part")
     star = [c for c in f.max_cones if set(neg) <= set(c)]
@@ -188,8 +183,6 @@ def _check_flip(pair: FoliatedPair, new_pair: FoliatedPair, ray: ExtremalRayData
     ) == sorted(old_fan.max_cones):
         raise RuntimeError("flip did not change the fan")
     # the flipped circuit must now pair positively with K_F+Delta
-    from tfm.divisor import curve_class_space
-
     space = curve_class_space(new_fan)
     old_space = curve_class_space(old_fan)
     old_cls = old_space.wall_classes[ray.member_wall_indices[0]]
@@ -201,16 +194,12 @@ def _check_flip(pair: FoliatedPair, new_pair: FoliatedPair, ray: ExtremalRayData
             break
     if found is None:
         raise RuntimeError("flipped curve class missing from the new fan")
-    from tfm.lattice import dot
-
     coords = space.divisor_coordinates(new_pair.k_plus_delta)
     if dot(coords, found) <= 0:
         raise RuntimeError("flipped circuit still pairs nonpositively")
 
 
 def _proportional(a, b) -> bool:
-    from tfm.lattice import primitivize
-
     try:
         return primitivize(a) == primitivize(b)
     except ValueError:

@@ -17,6 +17,7 @@ from tfm.divisor import (
     toric_canonical,
     zero_divisor,
 )
+from tfm.fan import Fan
 from tfm.foliation import FoliatedPair, FoliationSubspace, full_space
 
 
@@ -200,3 +201,11 @@ def test_nonzero_weight_contributions(p1, p2):
         for i, b in enumerate(betti):
             total[i] += b
     assert tuple(total) == report.h
+
+
+def test_h0_lattice_count_rejects_unbounded_polytope():
+    # D_1 + D_2 on the quadrant cone: {m >= (-1, -1)} has infinitely many
+    # lattice points, so no finite count may be returned
+    quadrant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    with pytest.raises(RuntimeError, match="unbounded"):
+        h0_lattice_count(quadrant, TorusDivisor((1, 1)))

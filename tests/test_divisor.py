@@ -13,17 +13,32 @@ from tfm.divisor import (
     divisor_wall_pairing,
     is_ample,
     is_nef,
+    is_qcartier,
     lattice_points,
     principal_divisor,
     pullback,
+    qcartier_coefficient_basis,
     qcartier_data,
     ray_divisor,
     toric_canonical,
+    wall_relation,
     zero_divisor,
 )
-from tfm.fan import enumerate_walls, multiplicity, star_subdivision
-from tfm.fan import Fan
-from tfm.lattice import dot, rational_rank, solve_linear, sublattice_index, vec_add, vec_scale
+from tfm.fan import Fan, enumerate_walls, is_projective, multiplicity, star_subdivision
+from tfm.lattice import (
+    dot,
+    identity,
+    integer_kernel,
+    integer_solve,
+    mat_mul,
+    mat_vec,
+    rational_rank,
+    solve_linear,
+    sublattice_index,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 
 def test_qcartier_p2(p2):
@@ -59,19 +74,27 @@ def test_intersect_wall_golden(hirzebruch1):
     assert divisor_wall_pairing(hirzebruch1, minus_kw, by_ray[2]) == 0
 
 
-def test_wall_quotient_vector_computed_once_per_wall(hirzebruch1, monkeypatch):
+def test_wall_relation_computed_once_per_wall(hirzebruch1, monkeypatch):
     from tfm import divisor
 
     walls = enumerate_walls(hirzebruch1)
-    expected = [divisor._wall_quotient_vector(hirzebruch1, w) for w in walls]
     calls = []
-    real = divisor.integer_kernel
-    monkeypatch.setattr(divisor, "integer_kernel", lambda rows: calls.append(rows) or real(rows))
+    real = divisor.solve_linear
+    monkeypatch.setattr(
+        divisor, "solve_linear", lambda rows, rhs: calls.append(rows) or real(rows, rhs)
+    )
     for d in (TorusDivisor((0, 1, 0, 1)), TorusDivisor((1, 0, 0, 0)), ray_divisor(hirzebruch1, 2)):
         for w in walls:
             divisor_wall_pairing(hirzebruch1, d, w)
+    assert is_ample(hirzebruch1, TorusDivisor((1, 1, 1, 1)))
+    curve_class_space(hirzebruch1)
     assert len(calls) == len(walls)
-    assert [divisor.wall_quotient_vector(hirzebruch1, w) for w in walls] == expected
+    # simplicial walls: the relation is unique, entry rho is D_rho . V(wall)
+    for w in walls:
+        assert wall_relation(hirzebruch1, w) == tuple(
+            reference_wall_pairing(hirzebruch1, ray_divisor(hirzebruch1, i), w)
+            for i in range(len(hirzebruch1.rays))
+        )
 
 
 def test_intersect_wall_p112(p112):
@@ -170,10 +193,13 @@ def test_divisor_polytope_matches_reference():
             assert all(type(x) is Fraction for v in vertices for x in v)
             sizes.append(len(vertices))
     assert 0 in sizes and max(sizes) > 4  # empty polytopes and many vertices
-    # unbounded with a vertex: the rays of a quadrant
+    # unbounded with a vertex: the rays of a quadrant; the DD exposes the
+    # recession rays, which the vertex enumeration does not see
     quadrant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
     d = TorusDivisor((1, Fraction(1, 2)))
-    assert divisor_polytope(quadrant, d).vertices == reference_vertices(quadrant, d)
+    assert reference_vertices(quadrant, d) == ((Fraction(-1), Fraction(-1, 2)),)
+    with pytest.raises(RuntimeError, match="unbounded"):
+        divisor_polytope(quadrant, d)
     # no vertex but nonempty: the rays of a line in the plane
     line = Fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
     for polytope in (divisor_polytope, reference_vertices):
@@ -245,9 +271,9 @@ def test_linearity_and_principal(p2, hirzebruch1, p112):
 
 
 def test_quotient_formula_matches_multiplicity_formula(p2, hirzebruch1, p112, p1xp1):
-    """Cross-check: on simplicial fans the lattice-quotient intersection
-    numbers agree with the mult(tau)/mult(sigma) normalization of the
-    wall relation."""
+    """Cross-check: on simplicial fans the intersection numbers read off
+    the wall relation agree with its mult(tau)/mult(sigma)
+    normalization."""
     for f in (p2, hirzebruch1, p112, p1xp1):
         space = curve_class_space(f)
         walls = enumerate_walls(f)
@@ -276,3 +302,141 @@ def test_two_routes_agree_via_class_vector(p2, hirzebruch1, p112):
                     b * c for b, c in zip(space.wall_classes[wi], d.coeffs)
                 )
                 assert direct == via_class
+
+
+def reference_wall_pairing(f, d, wall):
+    """D . V(wall) by the lattice-quotient formula (test oracle):
+    <m_a - m_b, w> for local Cartier data m and an integral w lifting the
+    primitive generator of N / (N ∩ span(wall)), oriented towards side_b."""
+    data = qcartier_data(f, d)
+    if data is None:
+        raise ValueError("divisor is not Q-Cartier")
+    span_rows = [f.rays[i] for i in wall.rays]
+    kernel = integer_kernel(span_rows) if span_rows else list(identity(f.dim))
+    assert len(kernel) == 1
+    ell = kernel[0]
+    far = next(i for i in f.max_cones[wall.side_b] if i not in wall.rays)
+    if dot(ell, f.rays[far]) < 0:
+        ell = tuple(-x for x in ell)
+    w = integer_solve([ell], (1,))
+    return Fraction(dot(vec_sub(data.m[wall.side_a], data.m[wall.side_b]), w))
+
+
+def _oracle_fans(rng):
+    fans = _corpus.projective_batch(20261018) + _corpus.nonsimplicial_corpus(rng, 6)
+    return fans + [_corpus._apply_matrix(f, _corpus.shear_matrix(rng, f.dim)) for f in fans]
+
+
+def test_wall_pairing_matches_reference():
+    rng = random.Random(20261018)
+    nef_verdicts, ample_verdicts, non_qcartier = set(), set(), 0
+    for f in _oracle_fans(rng):
+        space = curve_class_space(f)
+        walls = enumerate_walls(f)
+        for w, cls in zip(walls, space.wall_classes):
+            expected = tuple(reference_wall_pairing(f, TorusDivisor(b), w) for b in space.basis)
+            assert cls == expected
+            assert all(type(x) is Fraction for x in cls)
+        ample = _corpus.ample_cartier(f)
+        divisors = [zero_divisor(f), ample, ample - ray_divisor(f, 0)]
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-4, 6), rng.choice([1, 2, 3])) for _ in range(space.dim)]
+            divisors.append(space.divisor_from_coordinates(coords))
+            divisors.append(TorusDivisor([rng.randint(-2, 3) for _ in f.rays]))
+        for d in divisors:
+            assert is_qcartier(f, d) == (qcartier_data(f, d) is not None)
+            if not is_qcartier(f, d):
+                non_qcartier += 1
+                for check in (
+                    lambda: divisor_wall_pairing(f, d, walls[0]),
+                    lambda: reference_wall_pairing(f, d, walls[0]),
+                    lambda: is_nef(f, d),
+                    lambda: is_ample(f, d),
+                ):
+                    with pytest.raises(ValueError, match="not Q-Cartier"):
+                        check()
+                continue
+            pairings = [divisor_wall_pairing(f, d, w) for w in walls]
+            assert pairings == [reference_wall_pairing(f, d, w) for w in walls]
+            assert all(type(x) is Fraction for x in pairings)
+            assert is_nef(f, d) == all(x >= 0 for x in pairings)
+            assert is_ample(f, d) == all(x > 0 for x in pairings)
+            nef_verdicts.add(is_nef(f, d))
+            ample_verdicts.add(is_ample(f, d))
+    assert nef_verdicts == ample_verdicts == {True, False}
+    assert non_qcartier > 0
+
+
+def test_intersection_numbers_need_no_smith_normal_form(
+    p1, p2, p3, hirzebruch1, p1xp1, p112, cube_fan, nonprojective_fan,
+    quadric_cone_resolution, monkeypatch,
+):
+    import tfm.lattice
+
+    def no_snf(*args, **kwargs):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(tfm.lattice, "smith_normal_form", no_snf)
+    fans = (p1, p2, p3, hirzebruch1, p1xp1, p112, cube_fan, nonprojective_fan,
+            quadric_cone_resolution)
+    for f in fans:
+        space = curve_class_space(f)
+        d = space.divisor_from_coordinates(range(1, space.dim + 1))
+        is_nef(f, d)
+        is_ample(f, d)
+        for w in enumerate_walls(f):
+            divisor_wall_pairing(f, d, w)
+        is_projective(f)
+    assert is_ample(cube_fan, TorusDivisor((1,) * 8))
+
+
+def _shear_to_height(rng, f, height=5, tries=2000):
+    """A unimodular product of elementary shears taking the fan's rays to
+    largest absolute coordinate exactly `height`."""
+    n = f.dim
+    for _ in range(tries):
+        m = identity(n)
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.sample(range(n), 2)
+            e = [list(r) for r in identity(n)]
+            e[i][j] = rng.choice([-3, -2, -1, 1, 2, 3])
+            m = mat_mul(m, e)
+        if max(abs(x) for r in f.rays for x in mat_vec(m, r)) == height:
+            return m
+    raise RuntimeError("no shear of height %d found" % height)
+
+
+def test_intersection_numbers_are_gl_z_invariant():
+    """A lattice automorphism moves the rays but keeps the cones, so the
+    Q-Cartier coefficient space, the wall classes and the nef and ample
+    verdicts of every divisor stay the same."""
+    rng = random.Random(20261019)
+    fans = _corpus.projective_batch(20261019) + _corpus.nonsimplicial_corpus(rng, 4)
+    verdicts = set()
+    for f in fans:
+        space = curve_class_space(f)
+        ample = _corpus.ample_cartier(f)
+        divisors = [ample, zero_divisor(f), ray_divisor(f, 0)] + [
+            space.divisor_from_coordinates(
+                [Fraction(rng.randint(-3, 5), rng.choice([1, 2])) for _ in range(space.dim)]
+            )
+            for _ in range(3)
+        ]
+        for _ in range(2):
+            m = _shear_to_height(rng, f)
+            g = Fan(f.dim, [mat_vec(m, r) for r in f.rays], f.max_cones)
+            assert max(abs(x) for r in g.rays for x in r) == 5
+            assert qcartier_coefficient_basis(g) == qcartier_coefficient_basis(f)
+            assert curve_class_space(g).wall_classes == space.wall_classes
+            for d in divisors:
+                assert _verdict(is_nef, g, d) == _verdict(is_nef, f, d)
+                assert _verdict(is_ample, g, d) == _verdict(is_ample, f, d)
+                verdicts.add((_verdict(is_nef, f, d), _verdict(is_ample, f, d)))
+    assert verdicts >= {(True, True), (True, False), (False, False)}
+
+
+def _verdict(check, f, d):
+    try:
+        return check(f, d)
+    except ValueError as exc:
+        return str(exc)
